@@ -4,6 +4,12 @@
 // scheme, MSI state and dirty bits for the directory scheme, and per-word
 // used-since-fill bits for Tullsen–Eggers false-sharing classification.
 //
+// A cache's line frames are created a set at a time, when the set is
+// first filled, and never move afterwards: building, resetting and
+// sweeping a cache costs the sets its processor touched, not its
+// capacity (at P in the thousands each processor touches a few of its
+// thousands of sets).
+//
 // The cache stores real data values; the simulator reads through it, so
 // stale data — if a scheme ever allowed it — would visibly corrupt the
 // computation. That is intentional: it is what makes the staleness oracle
@@ -33,7 +39,10 @@ const (
 // TTInvalid marks an invalid word (no valid data in that word slot).
 const TTInvalid = int64(-1)
 
-// Line is one cache line frame.
+// Line is one cache line frame. A frame never moves while its cache
+// exists, so a *Line stays the frame that Lookup would return for its
+// tag as long as it holds that tag (the stream cursors in memsys keep
+// line pointers across accesses and revalidate them by tag and state).
 type Line struct {
 	Tag   int64 // line address (word address / line size); -1 when empty
 	State State
@@ -71,9 +80,24 @@ func (l *Line) InvalidateLine() {
 	}
 }
 
-// Cache is one processor's data cache.
+// A chunk holds the frames of chunkSets sets (times the associativity),
+// a power of two so that finding a set's frames from its creation index
+// is a shift and a mask. At the default geometry a chunk is about 3 KB:
+// a processor that touches a handful of sets allocates one, and a full
+// 64 KB cache needs 256.
+const (
+	chunkShift = 4
+	chunkSets  = 1 << chunkShift
+)
+
+// Cache is one processor's data cache. A set's frames are created by the
+// first Victim call for the set; slot maps a set to its frames (0: never
+// filled, so every lookup in it misses), and the frames live in
+// fixed-size chunks that own their word arrays and are never
+// reallocated, which keeps every *Line in place.
 type Cache struct {
-	lineWords int
+	capacityWords int64
+	lineWords     int
 	// Power-of-two line sizes (the common case; machine.Validate enforces
 	// it for simulated configurations) split addresses with a shift and a
 	// mask instead of div/mod. pow2 selects the fast path; the general
@@ -83,27 +107,27 @@ type Cache struct {
 	mask  int64
 	sets  int
 	assoc int
-	lines []Line // sets * assoc, set-major
-	clock int64
-	// Flat backing arrays behind the per-line subslices (one allocation
-	// each; see New). Kept here so a pooled reset can sweep them flat.
-	vals   []float64
-	tt     []int64
-	used   []bool
-	dirtyW []bool
+	// slot[s] is 1 + the creation index of set s's frames, 0 when set s
+	// has none yet. order[g] is the set whose frames were created g-th.
+	slot  []int32
+	order []int32
+	// chunks[g>>chunkShift] holds the frames of sets created g-th, at
+	// offset (g&(chunkSets-1))*assoc. A pooled cache keeps its chunks.
+	chunks [][]Line
+	clock  int64
 }
 
-// Caches are the largest allocations a simulated run makes (megabytes of
-// line frames and word arrays per processor), and systems are built per
-// run, so construction cost — allocation, zeroing, and the GC pressure of
-// the line slice headers — dominates short end-to-end runs. New therefore
-// draws from a per-geometry pool of released caches and resets them
-// instead of allocating. A reset cache is indistinguishable from a fresh
-// one: every line is invalidated (Tag -1, State Invalid, LRU and clock
-// zeroed) and every word timetag is TTInvalid. Vals is intentionally left
-// stale — no scheme reads a word value without first passing a validity
-// check (ValidWord / a timetag hit predicate), and every fill overwrites
-// Vals before validating the words.
+// Caches are the largest allocations a simulated run makes, and systems
+// are built per run, so New draws from a per-geometry pool of released
+// caches instead of allocating. A reset cache is indistinguishable from
+// a fresh one: no set has frames, so every lookup misses, and the clock
+// is zero. Reset forgets the sets the last run created (O(sets touched),
+// not O(capacity)); their frames are made fresh again when a set is next
+// created — Tag -1, State Invalid, LRU zero, every word timetag
+// TTInvalid. Vals is intentionally left stale: no scheme reads a word
+// value without first passing a validity check (ValidWord / a timetag
+// hit predicate), and every fill overwrites Vals before validating the
+// words.
 type poolKey struct {
 	capacityWords int64
 	lineWords     int
@@ -112,39 +136,39 @@ type poolKey struct {
 
 var pools sync.Map // poolKey -> *sync.Pool of *Cache
 
+// poolFor returns m's pool for key, creating it on first use only: a run
+// at large P releases thousands of caches and trackers, and LoadOrStore
+// alone would box the key and allocate a candidate pool for every one.
+func poolFor[K comparable](m *sync.Map, key K) *sync.Pool {
+	if p, ok := m.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := m.LoadOrStore(key, &sync.Pool{})
+	return p.(*sync.Pool)
+}
+
 // Release returns a cache to the construction pool. The caller must not
 // use it afterwards (core releases a run's system only after the last
 // snapshot has been taken).
 func Release(c *Cache) {
-	key := poolKey{int64(len(c.vals)), c.lineWords, c.assoc}
-	p, _ := pools.LoadOrStore(key, &sync.Pool{})
-	p.(*sync.Pool).Put(c)
+	poolFor(&pools, poolKey{c.capacityWords, c.lineWords, c.assoc}).Put(c)
 }
 
-// reset restores a pooled cache to the fresh-construction state (except
-// for the never-read-before-validated Vals contents).
+// reset restores a pooled cache to the fresh-construction state.
 func (c *Cache) reset() {
 	c.clock = 0
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.Tag = -1
-		l.State = Invalid
-		l.Dirty = false
-		l.lru = 0
+	for _, s := range c.order {
+		c.slot[s] = 0
 	}
-	for i := range c.tt {
-		c.tt[i] = TTInvalid
-	}
-	clear(c.used)
-	clear(c.dirtyW)
+	c.order = c.order[:0]
 }
 
 // New builds a cache of capacityWords with the given line size (words)
 // and associativity. capacityWords must be a multiple of lineWords*assoc.
-// The per-line word arrays are carved out of four shared backing slices,
-// so construction costs a handful of allocations rather than four per
-// line; a released cache of the same geometry is reused instead of
-// allocating at all (systems are built per simulated run).
+// Construction allocates only the per-set slot index; frames come in
+// chunks as sets are first filled (see Cache). A released cache of the
+// same geometry is reused instead of allocating at all (systems are
+// built per simulated run).
 func New(capacityWords int64, lineWords, assoc int) *Cache {
 	if p, ok := pools.Load(poolKey{capacityWords, lineWords, assoc}); ok {
 		if c, ok := p.(*sync.Pool).Get().(*Cache); ok {
@@ -152,42 +176,30 @@ func New(capacityWords int64, lineWords, assoc int) *Cache {
 			return c
 		}
 	}
-	numLines := int(capacityWords) / lineWords
-	sets := numLines / assoc
+	sets := int(capacityWords) / lineWords / assoc
 	c := &Cache{
-		lineWords: lineWords,
-		sets:      sets,
-		assoc:     assoc,
-		lines:     make([]Line, numLines),
+		capacityWords: capacityWords,
+		lineWords:     lineWords,
+		sets:          sets,
+		assoc:         assoc,
+		slot:          make([]int32, sets),
 	}
 	if lineWords&(lineWords-1) == 0 {
 		c.pow2 = true
 		c.shift = uint(bits.TrailingZeros(uint(lineWords)))
 		c.mask = int64(lineWords - 1)
 	}
-	words := numLines * lineWords
-	vals := make([]float64, words)
-	tt := make([]int64, words)
-	used := make([]bool, words)
-	dirtyW := make([]bool, words)
-	for i := range tt {
-		tt[i] = TTInvalid
-	}
-	c.vals, c.tt, c.used, c.dirtyW = vals, tt, used, dirtyW
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.Tag = -1
-		lo, hi := i*lineWords, (i+1)*lineWords
-		l.Vals = vals[lo:hi:hi]
-		l.TT = tt[lo:hi:hi]
-		l.Used = used[lo:hi:hi]
-		l.DirtyW = dirtyW[lo:hi:hi]
-	}
 	return c
 }
 
 // LineWords returns the line size in words.
 func (c *Cache) LineWords() int { return c.lineWords }
+
+// Frames returns the number of line frames created so far: the
+// associativity times the number of distinct sets filled since the cache
+// was built or reused. It is the cache's footprint, not a line count
+// (created frames may since have been invalidated).
+func (c *Cache) Frames() int { return len(c.order) * c.assoc }
 
 // Split decomposes a word address into (line tag, word-in-line).
 func (c *Cache) Split(addr prog.Word) (tag int64, word int) {
@@ -205,17 +217,55 @@ func (c *Cache) LineBase(addr prog.Word) prog.Word {
 	return addr - prog.Word(int(int64(addr))%c.lineWords)
 }
 
-func (c *Cache) set(tag int64) []Line {
-	s := int(tag % int64(c.sets))
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
+// frames returns the frames of the set created g-th.
+func (c *Cache) frames(g int32) []Line {
+	off := int(g&(chunkSets-1)) * c.assoc
+	return c.chunks[g>>chunkShift][off : off+c.assoc : off+c.assoc]
+}
+
+// create gives set s its frames, fresh, and returns their creation index.
+// A new chunk carves its frames' word arrays out of four backing slices,
+// so it costs a handful of allocations rather than four per line.
+func (c *Cache) create(s int32) int32 {
+	g := int32(len(c.order))
+	c.order = append(c.order, s)
+	c.slot[s] = g + 1
+	if int(g>>chunkShift) == len(c.chunks) {
+		n := chunkSets * c.assoc
+		words := n * c.lineWords
+		vals := make([]float64, words)
+		tt := make([]int64, words)
+		used := make([]bool, words)
+		dirtyW := make([]bool, words)
+		ch := make([]Line, n)
+		for i := range ch {
+			lo, hi := i*c.lineWords, (i+1)*c.lineWords
+			ch[i].Vals = vals[lo:hi:hi]
+			ch[i].TT = tt[lo:hi:hi]
+			ch[i].Used = used[lo:hi:hi]
+			ch[i].DirtyW = dirtyW[lo:hi:hi]
+		}
+		c.chunks = append(c.chunks, ch)
+	}
+	set := c.frames(g)
+	for i := range set {
+		set[i].InvalidateLine()
+		set[i].lru = 0
+	}
+	return g
 }
 
 // Lookup finds the line holding addr. It returns (line, word index,
 // present); present means the tag matches and the line is not Invalid —
-// the word itself may still be invalid (check ValidWord).
+// the word itself may still be invalid (check ValidWord). A set that was
+// never filled misses without creating frames.
 func (c *Cache) Lookup(addr prog.Word) (*Line, int, bool) {
 	tag, w := c.Split(addr)
-	set := c.set(tag)
+	g := c.slot[tag%int64(c.sets)]
+	if g == 0 {
+		return nil, w, false
+	}
+	set := c.frames(g - 1)
 	for i := range set {
 		l := &set[i]
 		if l.State != Invalid && l.Tag == tag {
@@ -237,11 +287,17 @@ func (c *Cache) Touch(l *Line) {
 }
 
 // Victim selects the frame to (re)fill for addr: an invalid way if one
-// exists, else the LRU way. The returned line may hold a conflicting
-// valid line that the caller must evict first.
+// exists, else the LRU way, creating the set's frames on its first use.
+// The returned line may hold a conflicting valid line that the caller
+// must evict first.
 func (c *Cache) Victim(addr prog.Word) *Line {
 	tag, _ := c.Split(addr)
-	set := c.set(tag)
+	s := int32(tag % int64(c.sets))
+	g := c.slot[s]
+	if g == 0 {
+		g = c.create(s) + 1
+	}
+	set := c.frames(g - 1)
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -255,30 +311,25 @@ func (c *Cache) Victim(addr prog.Word) *Line {
 	return victim
 }
 
-// InvalidateAll drops every line (whole-cache flash invalidation).
-// It returns the number of valid words dropped.
-func (c *Cache) InvalidateAll() int64 {
-	var dropped int64
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.State == Invalid {
-			continue
-		}
-		for w := range l.TT {
-			if l.TT[w] != TTInvalid {
-				dropped++
-			}
-		}
-		l.InvalidateLine()
-	}
-	return dropped
-}
-
-// ForEachValidLine visits every non-invalid line.
+// ForEachValidLine visits every non-invalid line, in the order the
+// lines' sets were first filled (not set order). Its callers do not
+// depend on the order: the TPI barrier sweeps sum counters (flushDirty)
+// and note per-word tracker history keyed by address (resetOutOfPhase,
+// flashInvalidate), and the directory's CheckInvariants stops at the
+// first line that breaks an invariant, where any such line is a correct
+// report (a consistent system has none, so its result is order-free).
 func (c *Cache) ForEachValidLine(fn func(l *Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	n := c.Frames()
+	for _, ch := range c.chunks {
+		if n <= 0 {
+			break
+		}
+		ch = ch[:min(n, len(ch))]
+		n -= len(ch)
+		for i := range ch {
+			if ch[i].State != Invalid {
+				fn(&ch[i])
+			}
 		}
 	}
 }
@@ -336,8 +387,7 @@ func NewTracker(memWords int64) *Tracker {
 // ReleaseTracker returns a tracker to the construction pool; the caller
 // must not use it afterwards.
 func ReleaseTracker(t *Tracker) {
-	p, _ := trackerPools.LoadOrStore(int64(len(t.reason)), &sync.Pool{})
-	p.(*sync.Pool).Put(t)
+	poolFor(&trackerPools, int64(len(t.reason))).Put(t)
 }
 
 // NoteCached records that the processor now caches addr.

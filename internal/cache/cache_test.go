@@ -104,22 +104,6 @@ func TestSetAssociativeLRU(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := New(64, 4, 1)
-	v := c.Victim(0)
-	tag, _ := c.Split(0)
-	v.Tag = tag
-	v.State = Shared
-	v.TT[0] = 1
-	v.TT[2] = 3
-	if got := c.InvalidateAll(); got != 2 {
-		t.Fatalf("dropped %d words, want 2", got)
-	}
-	if _, _, ok := c.Lookup(0); ok {
-		t.Fatal("cache must be empty after InvalidateAll")
-	}
-}
-
 func TestTracker(t *testing.T) {
 	tr := NewTracker(100)
 	if tr.Seen(5) {
@@ -412,9 +396,10 @@ func TestTrackerBitset(t *testing.T) {
 
 // TestPooledReuseIsFresh: a cache released back to the construction pool
 // and re-obtained with the same geometry must be observationally
-// identical to a fresh one — every line invalid, every word timetag
-// TTInvalid, LRU state reset — even after heavy dirtying. (Vals may keep
-// stale data: it is never readable without a validity check.)
+// identical to a fresh one — no frames, every lookup a miss, and every
+// frame Victim hands out invalid, with every word timetag TTInvalid and
+// no used or dirty bits — even after heavy dirtying. (Vals may keep stale
+// data: it is never readable without a validity check.)
 func TestPooledReuseIsFresh(t *testing.T) {
 	const capacity, lineWords, assoc = 256, 4, 2
 	c := New(capacity, lineWords, assoc)
@@ -432,32 +417,284 @@ func TestPooledReuseIsFresh(t *testing.T) {
 		v.Vals[w] = float64(i)
 		c.Touch(v)
 	}
+	if c.Frames() == 0 {
+		t.Fatal("dirtying created no frames")
+	}
 	Release(c)
 	r := New(capacity, lineWords, assoc)
 	if r != c {
 		t.Skip("pool did not return the released cache (GC-cleared pool)")
 	}
-	if r.clock != 0 {
-		t.Errorf("pooled cache clock = %d, want 0", r.clock)
+	if got := r.Frames(); got != 0 {
+		t.Fatalf("pooled cache starts with %d frames, want 0", got)
 	}
-	for i := range r.lines {
-		l := &r.lines[i]
-		if l.Tag != -1 || l.State != Invalid || l.Dirty || l.lru != 0 {
-			t.Fatalf("line %d not reset: %+v", i, l)
-		}
-		for w := range l.TT {
-			if l.TT[w] != TTInvalid || l.Used[w] || l.DirtyW[w] {
-				t.Fatalf("line %d word %d not reset: tt=%d used=%v dirtyW=%v",
-					i, w, l.TT[w], l.Used[w], l.DirtyW[w])
-			}
-			if l.ValidWord(w) {
-				t.Fatalf("line %d word %d valid in reset cache", i, w)
-			}
-		}
-	}
+	r.ForEachValidLine(func(l *Line) { t.Fatalf("pooled cache holds valid line %d", l.Tag) })
 	for addr := prog.Word(0); addr < 4096; addr += 3 {
 		if _, _, ok := r.Lookup(addr); ok {
 			t.Fatalf("pooled cache hits addr %d before any fill", addr)
+		}
+	}
+	sets := capacity / lineWords / assoc
+	for s := 0; s < sets; s++ {
+		addr := prog.Word(s * lineWords)
+		for way := 0; way < assoc; way++ {
+			l := r.Victim(addr)
+			if l.Tag != -1 || l.State != Invalid || l.Dirty {
+				t.Fatalf("set %d way %d not reset: %+v", s, way, l)
+			}
+			for w := range l.TT {
+				if l.TT[w] != TTInvalid || l.Used[w] || l.DirtyW[w] {
+					t.Fatalf("set %d way %d word %d not reset: tt=%d used=%v dirtyW=%v",
+						s, way, w, l.TT[w], l.Used[w], l.DirtyW[w])
+				}
+			}
+			// Occupy the way so the next Victim call hands out the next one.
+			tag, _ := r.Split(addr)
+			l.Tag, l.State = tag+int64(way*sets), Shared
+			r.Touch(l)
+		}
+	}
+	// Fresh LRU state: with every way filled once in order, the first
+	// way filled is the least recently used.
+	if v := r.Victim(0); v.Tag != 0 {
+		t.Fatalf("LRU victim of set 0 holds tag %d, want 0 (first filled)", v.Tag)
+	}
+}
+
+// refCache is the dense reference layout the sparse cache must match
+// observationally: every frame allocated up front, set-major.
+type refCache struct {
+	lineWords, sets, assoc int
+	lines                  []Line
+	clock                  int64
+}
+
+func newRefCache(capacityWords int64, lineWords, assoc int) *refCache {
+	sets := int(capacityWords) / lineWords / assoc
+	r := &refCache{lineWords: lineWords, sets: sets, assoc: assoc, lines: make([]Line, sets*assoc)}
+	for i := range r.lines {
+		l := &r.lines[i]
+		l.Vals = make([]float64, lineWords)
+		l.TT = make([]int64, lineWords)
+		l.Used = make([]bool, lineWords)
+		l.DirtyW = make([]bool, lineWords)
+		l.InvalidateLine()
+	}
+	return r
+}
+
+func (r *refCache) set(addr prog.Word) []Line {
+	s := int(int64(addr) / int64(r.lineWords) % int64(r.sets))
+	return r.lines[s*r.assoc : (s+1)*r.assoc]
+}
+
+func (r *refCache) lookup(addr prog.Word) *Line {
+	tag := int64(addr) / int64(r.lineWords)
+	for i, l := range r.set(addr) {
+		if l.State != Invalid && l.Tag == tag {
+			return &r.set(addr)[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) victim(addr prog.Word) *Line {
+	set := r.set(addr)
+	var victim *Line
+	for i := range set {
+		l := &set[i]
+		if l.State == Invalid {
+			return l
+		}
+		if victim == nil || l.lru < victim.lru {
+			victim = l
+		}
+	}
+	return victim
+}
+
+func (r *refCache) touch(l *Line) {
+	r.clock++
+	l.lru = r.clock
+}
+
+// sameLine compares the observable contents of two frames: header, and
+// per word the timetag, used and dirty bits, and the value of valid words.
+func sameLine(a, b *Line) bool {
+	if a.Tag != b.Tag || a.State != b.State || a.Dirty != b.Dirty {
+		return false
+	}
+	for w := range a.TT {
+		if a.TT[w] != b.TT[w] || a.Used[w] != b.Used[w] || a.DirtyW[w] != b.DirtyW[w] {
+			return false
+		}
+		if a.ValidWord(w) && a.Vals[w] != b.Vals[w] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSparseMatchesDenseModel drives the sparse cache and the dense
+// reference with the same random operation stream — lookups, fills
+// through Victim, Touch, word and line invalidation, ForEachValidLine
+// sweeps that mutate lines, and release-and-reuse — and requires them to
+// agree after every step, at several associativities and line sizes
+// (including a non-power-of-two one) and a set count that leaves the
+// last chunk partly used.
+func TestSparseMatchesDenseModel(t *testing.T) {
+	const sets = 40
+	for _, assoc := range []int{1, 2, 4} {
+		for _, lw := range []int{1, 3, 4} {
+			capacity := int64(sets * assoc * lw)
+			rng := rand.New(rand.NewSource(int64(100*assoc + lw)))
+			c, ref := New(capacity, lw, assoc), newRefCache(capacity, lw, assoc)
+			span := int(capacity) * 4
+			fail := func(step int, format string, args ...any) {
+				t.Helper()
+				t.Fatalf("assoc=%d lineWords=%d step %d: "+format, append([]any{assoc, lw, step}, args...)...)
+			}
+			for step := 0; step < 4000; step++ {
+				addr := prog.Word(rng.Intn(span))
+				tag, w := c.Split(addr)
+				switch op := rng.Intn(100); {
+				case op < 45: // lookup, and on a hit touch or mutate the line
+					l, lw2, ok := c.Lookup(addr)
+					rl := ref.lookup(addr)
+					if ok != (rl != nil) || lw2 != w {
+						fail(step, "Lookup(%d) present=%v word=%d, reference present=%v word=%d", addr, ok, lw2, rl != nil, w)
+					}
+					if !ok {
+						continue
+					}
+					if !sameLine(l, rl) {
+						fail(step, "Lookup(%d) line %+v, reference %+v", addr, *l, *rl)
+					}
+					switch rng.Intn(4) {
+					case 0:
+						l.InvalidateWord(w)
+						rl.InvalidateWord(w)
+					case 1:
+						l.InvalidateLine()
+						rl.InvalidateLine()
+					default:
+						l.Used[w], rl.Used[w] = true, true
+						c.Touch(l)
+						ref.touch(rl)
+					}
+				case op < 90: // fill through Victim, as callers do, on a miss only
+					if ref.lookup(addr) != nil {
+						continue
+					}
+					v, rv := c.Victim(addr), ref.victim(addr)
+					if !sameLine(v, rv) {
+						fail(step, "Victim(%d) = %+v, reference %+v", addr, *v, *rv)
+					}
+					v.InvalidateLine()
+					rv.InvalidateLine()
+					val := rng.Float64()
+					state := Shared
+					if rng.Intn(2) == 0 {
+						state = Exclusive
+					}
+					for _, l := range []*Line{v, rv} {
+						l.Tag, l.State = tag, state
+						l.Dirty = state == Exclusive
+						l.TT[w] = int64(step)
+						l.Vals[w] = val
+						l.DirtyW[w] = l.Dirty
+					}
+					if rng.Intn(4) != 0 { // a fill left untouched keeps its old LRU stamp
+						c.Touch(v)
+						ref.touch(rv)
+					}
+				case op < 98: // sweep: compare valid lines, then drain dirty words
+					got := map[int64]*Line{}
+					c.ForEachValidLine(func(l *Line) {
+						if got[l.Tag] != nil {
+							fail(step, "ForEachValidLine visits tag %d twice", l.Tag)
+						}
+						got[l.Tag] = l
+					})
+					n := 0
+					for i := range ref.lines {
+						rl := &ref.lines[i]
+						if rl.State == Invalid {
+							continue
+						}
+						n++
+						if l := got[rl.Tag]; l == nil || !sameLine(l, rl) {
+							fail(step, "ForEachValidLine line for tag %d = %+v, reference %+v", rl.Tag, l, *rl)
+						}
+						clear(rl.DirtyW)
+					}
+					if n != len(got) {
+						fail(step, "ForEachValidLine visited %d lines, reference holds %d", len(got), n)
+					}
+					c.ForEachValidLine(func(l *Line) { clear(l.DirtyW) })
+				default: // release and reuse
+					Release(c)
+					c, ref = New(capacity, lw, assoc), newRefCache(capacity, lw, assoc)
+					if c.Frames() != 0 {
+						fail(step, "reused cache has %d frames", c.Frames())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLinePointerStable: a *Line taken early stays the frame Lookup
+// returns for its tag while fills to other sets create many more chunks.
+func TestLinePointerStable(t *testing.T) {
+	c := New(16384, 4, 1) // the paper's 64 KB direct-mapped cache
+	first := c.Victim(0)
+	first.Tag, first.State, first.TT[0], first.Vals[0] = 0, Shared, 1, 2.5
+	const fills = 1000
+	for k := 1; k <= fills; k++ {
+		addr := prog.Word(4 * k)
+		v := c.Victim(addr)
+		tag, w := c.Split(addr)
+		v.Tag, v.State, v.TT[w] = tag, Shared, 1
+	}
+	if got := c.Frames(); got < 32*chunkSets {
+		t.Fatalf("only %d frames created; the test needs many chunks", got)
+	}
+	l, _, ok := c.Lookup(0)
+	if !ok || l != first {
+		t.Fatalf("Lookup(0) = %p (present %v), want the first frame %p", l, ok, first)
+	}
+	if !l.ValidWord(0) || l.Vals[0] != 2.5 {
+		t.Fatal("first frame lost its contents")
+	}
+}
+
+// TestFramesFootprint: frames are created only by Victim, a set's worth
+// at a time, so filling k distinct sets creates k × assoc frames however
+// many addresses map to them, and lookups create none.
+func TestFramesFootprint(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4} {
+		const lineWords, sets = 4, 64
+		c := New(int64(sets*assoc*lineWords), lineWords, assoc)
+		for addr := prog.Word(0); addr < 4096; addr += 7 {
+			c.Lookup(addr)
+		}
+		if got := c.Frames(); got != 0 {
+			t.Fatalf("assoc=%d: lookups created %d frames", assoc, got)
+		}
+		filled := map[int64]bool{}
+		rng := rand.New(rand.NewSource(int64(assoc)))
+		for i := 0; i < 40; i++ {
+			// Sets 0..sets/2-1 only, reached through several tags each.
+			addr := prog.Word((rng.Intn(sets/2) + sets*rng.Intn(8)) * lineWords)
+			v := c.Victim(addr)
+			tag, _ := c.Split(addr)
+			v.Tag, v.State = tag, Shared
+			c.Touch(v)
+			filled[tag%sets] = true
+			if got, want := c.Frames(), len(filled)*assoc; got != want {
+				t.Fatalf("assoc=%d after %d fills: %d frames, want %d sets × %d", assoc, i+1, got, len(filled), assoc)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,8 +90,10 @@ func TestSingleflightCollapses(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let every goroutine reach Do before releasing the one real call.
-	for calls.Load() == 0 {
+	// Release the one real call only once the other seven callers have
+	// joined it; before then a late caller could start a second one.
+	for g.waiters("key") < len(results)-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

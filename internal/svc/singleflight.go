@@ -15,6 +15,9 @@ type flightCall[V any] struct {
 	wg  sync.WaitGroup
 	val V
 	err error
+	// joined counts the callers waiting on this execution (guarded by
+	// the group's mu).
+	joined int
 }
 
 // Do runs fn once per concurrent set of callers sharing key and returns
@@ -26,6 +29,7 @@ func (g *flightGroup[V]) Do(key string, fn func() (V, error)) (v V, err error, s
 		g.calls = make(map[string]*flightCall[V])
 	}
 	if c, ok := g.calls[key]; ok {
+		c.joined++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err, true
@@ -42,4 +46,15 @@ func (g *flightGroup[V]) Do(key string, fn func() (V, error)) (v V, err error, s
 	g.mu.Unlock()
 	c.wg.Done()
 	return c.val, c.err, false
+}
+
+// waiters reports how many callers have joined the execution in flight
+// for key, 0 when none is.
+func (g *flightGroup[V]) waiters(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.joined
+	}
+	return 0
 }
