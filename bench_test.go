@@ -410,27 +410,38 @@ func BenchmarkHostParallel(b *testing.B) {
 // P (the kernel, and so the reference stream, is the same size at every
 // P — only the machine grows); allocs/op is the lazy per-processor
 // state working: idle processors past the kernel's parallelism must not
-// cost cache or tracker allocations.
+// cost cache or tracker allocations. The qcd2 rows put the directory's
+// critical-store sweep on the bench: its critical section runs in
+// sequential epochs whatever the host parallelism, and each store
+// invalidates the line at every possible holder.
 func BenchmarkLargeP(b *testing.B) {
-	k, err := bench.Get("ocean", bench.Params{N: 48, Steps: 2})
-	if err != nil {
-		b.Fatal(err)
+	compile := func(kernel string) *core.Compiled {
+		k, err := bench.Get(kernel, bench.Params{N: 48, Steps: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := core.Compile(k.Source, core.DefaultCompileOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
 	}
-	c, err := core.Compile(k.Source, core.DefaultCompileOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	variants := []struct {
+	ocean, qcd2 := compile("ocean"), compile("qcd2")
+	type point struct {
 		name    string
+		c       *core.Compiled
 		scheme  machine.Scheme
 		l1Words int64
-	}{
-		{"HW", machine.SchemeHW, 0},
-		{"TPI2L", machine.SchemeTPI, 1024},
-		{"TARDIS2", machine.SchemeTardis2, 0},
+		procs   []int
 	}
-	for _, v := range variants {
-		for _, procs := range []int{256, 1024, 4096} {
+	points := []point{
+		{"HW", ocean, machine.SchemeHW, 0, []int{256, 1024, 4096}},
+		{"TPI2L", ocean, machine.SchemeTPI, 1024, []int{256, 1024, 4096}},
+		{"TARDIS2", ocean, machine.SchemeTardis2, 0, []int{256, 1024, 4096}},
+		{"qcd2/HW", qcd2, machine.SchemeHW, 0, []int{1024, 4096}},
+	}
+	for _, v := range points {
+		for _, procs := range v.procs {
 			b.Run(fmt.Sprintf("%s/procs=%d", v.name, procs), func(b *testing.B) {
 				cfg := machine.Default(v.scheme)
 				cfg.L1Words = v.l1Words
@@ -442,7 +453,7 @@ func BenchmarkLargeP(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st, err := core.Run(c, cfg)
+					st, err := core.Run(v.c, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -53,6 +53,10 @@
 // always execute sequentially in every mode, so the crit store applies
 // eagerly: memory via Lane.WriteThrough and an immediate sweep that
 // invalidates every cached copy of the line, including the writer's own.
+// On the wide tier the sweep visits only the line's possible holders —
+// its presence set at the last barrier plus this epoch's fill/claim
+// candidates (pend, kept current outside host-parallel epochs) — in the
+// same ascending order as the narrow tier's loop over all P processors.
 package directory
 
 import (
@@ -125,7 +129,7 @@ type System struct {
 	dir      []entry // one per memory line; frozen mid-epoch
 	// Multi-word presence backing for P > 64 (nil on the narrow path):
 	// wps words per line, sliced per entry by pres(). pend/pendMark/
-	// touched carry the replay prepass (see buildPend).
+	// touched carry this epoch's fill/claim candidates (see logLine).
 	wide     []uint64
 	wps      int
 	pend     []uint64
@@ -190,6 +194,17 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 // and all cross-processor mutations replay at the barrier.
 func (s *System) HostShardable() bool { return true }
 
+// EndParallelEpoch implements memsys.Sharded. Workers log fills and claims
+// without marking the shared candidate sets (see logLine); the marking
+// happens here, single-threaded after they joined, so pend is current
+// again whenever the simulator runs sequentially.
+func (s *System) EndParallelEpoch() {
+	s.Core.EndParallelEpoch()
+	if s.wide != nil {
+		s.buildPend()
+	}
+}
+
 // FlushEpoch implements memsys.Buffered: the lanes drain first so the
 // replay (which refreshes surviving claimant/filler copies and charges
 // dirty write-backs) reads barrier-final memory.
@@ -252,7 +267,7 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 	}
 
 	nl, nw := s.fillLocal(p, ln, addr, false)
-	s.logs[p] = append(s.logs[p], action{kind: act, tag: tag, addr: addr})
+	s.logLine(p, act, tag, addr)
 	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords)
 	ln.Inject(int64(s.Cfg.LineWords) + 1)
 	lat := s.LineMissLatencyFor(p, addr) + extra
@@ -291,7 +306,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 		line.Dirty = true
 		line.Used[w] = true
 		cc.Touch(line)
-		s.logs[p] = append(s.logs[p], action{kind: actClaim, tag: tag, addr: addr})
+		s.logLine(p, actClaim, tag, addr)
 		ln.St.CoherenceMsgs++ // upgrade request
 		ln.St.CoherenceTrafficWords++
 		ln.Inject(1)
@@ -317,7 +332,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	nl, nw := s.fillLocal(p, ln, addr, true)
 	nl.Vals[nw] = val
 	nl.Dirty = true
-	s.logs[p] = append(s.logs[p], action{kind: actClaim, tag: tag, addr: addr})
+	s.logLine(p, actClaim, tag, addr)
 	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords) // ownership fetch
 	ln.Inject(int64(s.Cfg.LineWords) + 1)
 	if s.Cfg.SeqConsistency {
@@ -334,8 +349,15 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 // the store writes through to memory (withdrawing any buffered same-epoch
 // entry) and every cached copy of the line — the writer's own included —
 // is invalidated on the spot. Same-epoch bypass readers then miss and
-// fetch the fresh value from memory.
+// fetch the fresh value from memory. The wide tier sweeps only the
+// line's candidates (presence ∪ pend): a copy can exist mid-epoch only
+// at a processor that held it at the last barrier or logged a fill or
+// claim of it since, and logLine marks those as it logs.
 func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr prog.Word, val float64) int64 {
+	if s.InParallelEpoch() {
+		panic(fmt.Sprintf("directory: critical store by P%d at word %d inside a host-parallel epoch: "+
+			"critical sections must run in sequential epochs", p, addr))
+	}
 	ln.St.Writes++
 	ln.St.WriteMisses[stats.MissBypass]++
 	ln.WriteThrough(addr, val, p, s.Epoch)
@@ -343,46 +365,61 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 	lw := s.Cfg.LineWords
 	base := prog.Word(tag * int64(lw))
 	woff := int(int64(addr) % int64(lw))
-	for q := 0; q < s.Cfg.Procs; q++ {
-		cc, tr := s.caches[q], s.trackers[q]
-		if cc == nil { // never referenced anything: no copy to invalidate
-			continue
+	if s.wide == nil {
+		for q := 0; q < s.Cfg.Procs; q++ {
+			s.critVictim(p, q, ln, tag, addr, base, lw, woff)
 		}
-		line, w, ok := cc.Lookup(base + prog.Word(woff))
-		if !ok || line.Tag != tag {
-			continue
-		}
-		if q != p {
-			reason := cache.LostInvalFalse
-			if line.Used[w] {
-				reason = cache.LostInvalTrue
-			}
-			if s.Probe != nil {
-				class := stats.MissFalseSharing
-				if reason == cache.LostInvalTrue {
-					class = stats.MissTrueSharing
-				}
-				s.Probe.Invalidation(p, q, addr, class)
-			}
-			noteLineLost(tr, line, base, lw, reason)
-		} else {
-			noteLineLost(tr, line, base, lw, cache.LostInvalTrue)
-		}
-		if line.Dirty {
-			ln.St.WriteTrafficWords += int64(lw)
-			ln.Inject(int64(lw))
-		}
-		line.InvalidateLine()
-		ln.St.Invalidations++
-		ln.St.CoherenceMsgs++
-		ln.St.CoherenceTrafficWords += 2
-		ln.Inject(2)
+	} else {
+		s.forEachCandidate(tag, func(q int) {
+			s.critVictim(p, q, ln, tag, addr, base, lw, woff)
+		})
+		// No copy survives the sweep; processors that fill the line later
+		// this epoch mark themselves again.
+		s.pendSet(tag).Reset()
 	}
 	e.state, e.owner = dirUncached, 0
 	s.presReset(e, tag)
 	ln.St.WriteTrafficWords++
 	ln.Inject(1)
 	return 0
+}
+
+// critVictim invalidates q's copy of the line, if it holds one, under p's
+// critical store, charging the invalidation to p's lane.
+func (s *System) critVictim(p, q int, ln *memsys.Lane, tag int64, addr, base prog.Word, lw, woff int) {
+	cc, tr := s.caches[q], s.trackers[q]
+	if cc == nil { // never referenced anything: no copy to invalidate
+		return
+	}
+	line, w, ok := cc.Lookup(base + prog.Word(woff))
+	if !ok || line.Tag != tag {
+		return
+	}
+	if q != p {
+		reason := cache.LostInvalFalse
+		if line.Used[w] {
+			reason = cache.LostInvalTrue
+		}
+		if s.Probe != nil {
+			class := stats.MissFalseSharing
+			if reason == cache.LostInvalTrue {
+				class = stats.MissTrueSharing
+			}
+			s.Probe.Invalidation(p, q, addr, class)
+		}
+		noteLineLost(tr, line, base, lw, reason)
+	} else {
+		noteLineLost(tr, line, base, lw, cache.LostInvalTrue)
+	}
+	if line.Dirty {
+		ln.St.WriteTrafficWords += int64(lw)
+		ln.Inject(int64(lw))
+	}
+	line.InvalidateLine()
+	ln.St.Invalidations++
+	ln.St.CoherenceMsgs++
+	ln.St.CoherenceTrafficWords += 2
+	ln.Inject(2)
 }
 
 // noteLineLost records the loss of every valid word of a line.
@@ -421,9 +458,6 @@ func (s *System) fillLocal(p int, ln *memsys.Lane, addr prog.Word, exclusive boo
 // lanes drained, so stats and traffic go straight to the shared sinks
 // and value refreshes read barrier-final memory.
 func (s *System) replayEpoch() {
-	if s.wide != nil {
-		s.buildPend()
-	}
 	for p := range s.logs {
 		log := s.logs[p]
 		for i := range log {
@@ -445,32 +479,60 @@ func (s *System) replayEpoch() {
 	}
 }
 
-// buildPend marks, for every line a fill or claim touched this epoch,
-// the processors that logged one. A processor can hold a copy of a line
-// at the barrier only if its presence bit was set when the directory
-// froze or it filled the line this epoch — and every fill is logged —
-// so replayClaim's sweep on the wide path visits presence ∪ pend
-// instead of all P processors. Visiting a candidate without a copy is
-// harmless (the sweep re-checks the cache), so the prepass may safely
-// over-approximate across the whole epoch's logs.
+// logLine appends a fill or claim of line tag to p's action log. On the
+// wide tier it also marks p in the line's candidate set (pend) on the
+// spot, unless host-parallel workers are running: pend is shared across
+// processors, so EndParallelEpoch marks their logs after the join.
+//
+// A processor can hold a copy of a line mid-epoch or at the barrier only
+// if its presence bit was set when the directory froze or it logged a
+// fill or claim of the line since, so sweeps on the wide tier visit
+// presence ∪ pend instead of all P processors (see forEachCandidate).
+func (s *System) logLine(p int, kind actKind, tag int64, addr prog.Word) {
+	s.logs[p] = append(s.logs[p], action{kind: kind, tag: tag, addr: addr})
+	if s.wide != nil && !s.InParallelEpoch() {
+		s.markPend(tag, p)
+	}
+}
+
+// markPend adds p to line tag's candidate set, recording the line for
+// clearPend the first time this epoch.
+func (s *System) markPend(tag int64, p int) {
+	if !s.pendMark[tag] {
+		s.pendMark[tag] = true
+		s.touched = append(s.touched, tag)
+	}
+	s.pendSet(tag).Add(p)
+}
+
+// buildPend marks every fill and claim in the logs, after a host-parallel
+// epoch whose workers could not mark them as they logged. Marking a
+// processor twice, or one whose copy is gone, is harmless (sweeps
+// re-check the cache), so the whole logs are scanned.
 func (s *System) buildPend() {
 	for p := range s.logs {
 		log := s.logs[p]
 		for i := range log {
-			a := &log[i]
-			if a.kind == actEvict {
-				continue
+			if a := &log[i]; a.kind != actEvict {
+				s.markPend(a.tag, p)
 			}
-			if !s.pendMark[a.tag] {
-				s.pendMark[a.tag] = true
-				s.touched = append(s.touched, a.tag)
-			}
-			s.pendSet(a.tag).Add(p)
 		}
 	}
 }
 
-// clearPend resets the candidate sets the prepass marked, touching only
+// forEachCandidate visits, in ascending processor order, every member
+// of line tag's presence ∪ pend: on the wide tier, the only processors
+// that can hold a copy. Valid only when wideOn.
+func (s *System) forEachCandidate(tag int64, fn func(q int)) {
+	pres, pend := s.pres(tag), s.pendSet(tag)
+	for i := range pres {
+		for w := pres[i] | pend[i]; w != 0; w &= w - 1 {
+			fn(i<<6 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// clearPend resets the candidate sets this epoch marked, touching only
 // the lines this epoch used.
 func (s *System) clearPend() {
 	for _, tag := range s.touched {
@@ -525,20 +587,13 @@ func (s *System) replayClaim(p int, e *entry, a *action) {
 		}
 	} else {
 		// Wide path: only presence members and this epoch's fill/claim
-		// candidates (see buildPend) can hold a copy; sweep the union in
-		// the same ascending processor order as the narrow loop.
-		pres, pend := s.pres(a.tag), s.pendSet(a.tag)
-		for i := range pres {
-			w := pres[i] | pend[i]
-			if i == p>>6 {
-				w &^= 1 << uint(p&63)
-			}
-			for w != 0 {
-				q := i<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
+		// candidates can hold a copy; sweep the union in the same
+		// ascending processor order as the narrow loop.
+		s.forEachCandidate(a.tag, func(q int) {
+			if q != p {
 				s.claimVictim(p, q, e, a, base, lw, woff)
 			}
-		}
+		})
 	}
 	// After the sweep only the claimant can hold a copy. Register by what
 	// its cache holds NOW: the claimed line may itself have been evicted

@@ -105,9 +105,9 @@ func (s *System) pres(tag int64) Set {
 	return Set(s.wide[tag*w : (tag+1)*w])
 }
 
-// pendSet returns the per-epoch replay-candidate set for a line (procs
-// that logged a fill or claim against it this epoch). Valid only when
-// wideOn; maintained by replayEpoch's prepass.
+// pendSet returns the per-epoch candidate set for a line (procs that
+// logged a fill or claim against it this epoch). Valid only when wideOn;
+// maintained by logLine and, after host-parallel epochs, buildPend.
 func (s *System) pendSet(tag int64) Set {
 	w := int64(s.wps)
 	return Set(s.pend[tag*w : (tag+1)*w])

@@ -1,10 +1,16 @@
 package directory
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/memsys"
+	"repro/internal/prog"
+	"repro/internal/stats"
 )
 
 // refSet is the oracle: a plain map of members.
@@ -136,5 +142,120 @@ func TestForceWidePresenceHook(t *testing.T) {
 		t.Fatal("P=65: New must take the wide path")
 	} else {
 		s3.ReleaseCaches()
+	}
+}
+
+// victimLog is a memsys.Probe that records invalidation victims in
+// delivery order.
+type victimLog struct{ victims []int }
+
+func (v *victimLog) Invalidation(writer, victim int, addr prog.Word, class stats.MissClass) {
+	v.victims = append(v.victims, victim)
+}
+
+func (v *victimLog) TimetagReset(epoch, words int64) {}
+
+// candidates lists line tag's wide-tier sweep set (presence ∪ pend).
+func candidates(s *System, tag int64) []int {
+	var qs []int
+	s.forEachCandidate(tag, func(q int) { qs = append(qs, q) })
+	return qs
+}
+
+// TestWideCriticalSweepFindsSameEpochFillers pins the wide tier's
+// candidate-only critical sweep. Two readers fill a line in a sequential
+// epoch, so neither is in its presence set yet: the critical store must
+// find both through the candidates their fills marked on the spot,
+// invalidate them in ascending processor order, and empty the candidate
+// set, so a second critical store in the same epoch sweeps only the one
+// processor that re-read the line since.
+func TestWideCriticalSweepFindsSameEpochFillers(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		procs              int
+		force              bool
+		writer, hiRd, loRd int
+	}{
+		{"P128", 128, false, 0, 70, 5},
+		{"P4-forced", 4, true, 0, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := ForceWidePresence(tc.force)
+			s := newSys(t, cfgForTest(tc.procs))
+			ForceWidePresence(prev)
+			defer s.ReleaseCaches()
+			if s.wide == nil {
+				t.Fatal("expected the wide presence tier")
+			}
+			probe := &victimLog{}
+			s.SetProbe(probe)
+			const addr = 8
+			tag := int64(addr / s.Cfg.LineWords)
+
+			s.EpochBoundary(1)
+			s.Read(tc.hiRd, addr, memsys.ReadRegular, 0)
+			s.Read(tc.loRd, addr, memsys.ReadRegular, 0)
+			if s.pres(tag).Count() != 0 {
+				t.Fatal("same-epoch fillers must not be in presence before the barrier")
+			}
+			if got, want := candidates(s, tag), []int{tc.loRd, tc.hiRd}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("candidates before the critical store = %v, want %v", got, want)
+			}
+			s.Write(tc.writer, addr, 4.0, true)
+			for _, q := range []int{tc.hiRd, tc.loRd} {
+				if _, _, ok := s.caches[q].Lookup(addr); ok {
+					t.Fatalf("P%d's copy survived the critical store", q)
+				}
+			}
+			if got, want := probe.victims, []int{tc.loRd, tc.hiRd}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("invalidation order = %v, want %v", got, want)
+			}
+			if got := candidates(s, tag); len(got) != 0 {
+				t.Fatalf("candidates after the critical store = %v, want none", got)
+			}
+
+			if v, _ := s.Read(tc.loRd, addr, memsys.ReadBypass, 0); v != 4.0 {
+				t.Fatalf("same-epoch re-read = %v, want 4.0", v)
+			}
+			if got, want := candidates(s, tag), []int{tc.loRd}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("candidates after the re-read = %v, want %v", got, want)
+			}
+			probe.victims = nil
+			s.Write(tc.writer, addr, 5.0, true)
+			if got, want := probe.victims, []int{tc.loRd}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("second critical store invalidated %v, want %v", got, want)
+			}
+
+			barrier(t, s, 2)
+			if s.St.Invalidations != 3 {
+				t.Fatalf("invalidations = %d, want 3 (2 + 1)", s.St.Invalidations)
+			}
+		})
+	}
+}
+
+// TestCriticalStoreInParallelEpochPanics pins the guard behind the
+// eager critical sweep: critical sections run only in sequential
+// epochs, and a critical store that arrives while host-parallel workers
+// run must fail loudly rather than sweep candidate sets the workers are
+// not keeping current.
+func TestCriticalStoreInParallelEpochPanics(t *testing.T) {
+	for _, procs := range []int{4, 128} {
+		t.Run(fmtProcs(procs), func(t *testing.T) {
+			s := newSys(t, cfgForTest(procs))
+			defer s.ReleaseCaches()
+			s.EpochBoundary(1)
+			s.BeginParallelEpoch(1)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("critical store in a host-parallel epoch did not panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "inside a host-parallel epoch") {
+					t.Fatalf("panic = %q, want the host-parallel epoch message", msg)
+				}
+			}()
+			s.Write(0, 8, 1.0, true)
+		})
 	}
 }

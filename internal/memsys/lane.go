@@ -234,6 +234,10 @@ func (c *Core) EnableAlwaysBuffered() {
 // EpochBuffered implements Buffered.
 func (c *Core) EpochBuffered() bool { return c.alwaysBuffered }
 
+// InParallelEpoch reports whether host-parallel workers are running the
+// current epoch (between BeginParallelEpoch and EndParallelEpoch).
+func (c *Core) InParallelEpoch() bool { return c.par }
+
 // FlushEpoch implements Buffered.
 func (c *Core) FlushEpoch() { c.FlushEpochLanes() }
 

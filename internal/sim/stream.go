@@ -106,10 +106,10 @@ type streamRef struct {
 
 // Postfix opcodes for stream statement bodies.
 const (
-	opConst uint8 = iota
-	opSlot        // enclosing loop variable (frame slot a)
-	opLoopVar     // the stream loop's own variable
-	opLoad        // read stream a
+	opConst   uint8 = iota
+	opSlot          // enclosing loop variable (frame slot a)
+	opLoopVar       // the stream loop's own variable
+	opLoad          // read stream a
 	opNeg
 	opNot
 	opAdd

@@ -152,10 +152,10 @@ type counters struct {
 	// way a submission completes).
 	PeerServed int64 `json:"peerServed"`
 	Simulated  int64 `json:"simulated"`
-	Done        int64 `json:"done"`
-	Failed      int64 `json:"failed"`
-	Cancelled   int64 `json:"cancelled"`
-	Rejected    int64 `json:"rejected"`
+	Done       int64 `json:"done"`
+	Failed     int64 `json:"failed"`
+	Cancelled  int64 `json:"cancelled"`
+	Rejected   int64 `json:"rejected"`
 }
 
 // schemeLatency aggregates successful run wall time per scheme.
